@@ -113,7 +113,7 @@ pub struct BenchEntry {
 pub struct DerivedEntry {
     /// Derived id (stable, snake_case — the JSON key).
     pub name: &'static str,
-    /// The ratio value.
+    /// The derived value: a ratio, a rate or a count, by its name.
     pub value: f64,
 }
 
@@ -238,13 +238,25 @@ impl BenchReport {
             ));
         }
         for d in &self.derived {
-            s.push_str(&format!("{}: {:.2}x\n", d.name, d.value));
+            s.push_str(&format!("{}: {}\n", d.name, fmt_derived(d.name, d.value)));
         }
         if let Some(f) = &self.config.filter {
             s.push_str(&format!("(filtered: \"{f}\")\n"));
         }
         s.pop();
         s
+    }
+}
+
+/// How a derived value reads in the table: speedups and ratios get an
+/// `x`, rates a `/s`, and counts (bytes, allocations) print bare.
+fn fmt_derived(name: &str, value: f64) -> String {
+    if name.contains("_speedup") || name.ends_with("_ratio") {
+        format!("{value:.2}x")
+    } else if name.ends_with("_per_sec") {
+        format!("{value:.0}/s")
+    } else {
+        format!("{value}")
     }
 }
 
@@ -1291,6 +1303,34 @@ mod tests {
         assert!(json.contains("\"benches\": {\n  },"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(report.to_table().contains("(filtered: \"nothing\")"));
+    }
+
+    #[test]
+    fn table_suffixes_only_ratios_with_x() {
+        let derived = [
+            ("graph_build_speedup_medium", 1.428, "1.43x"),
+            ("mwis_speedup_gwmin", 21.985, "21.98x"),
+            ("predictive_vs_2cpm_energy_ratio", 0.939, "0.94x"),
+            ("stream_run_records_per_sec", 1720513.43, "1720513/s"),
+            ("stream_run_peak_buffer_bytes", 34728.0, "34728"),
+            ("allocs_per_solve", 0.0, "0"),
+        ];
+        let report = BenchReport {
+            config: BenchConfig::default(),
+            entries: vec![],
+            derived: derived
+                .iter()
+                .map(|&(name, value, _)| DerivedEntry { name, value })
+                .collect(),
+            host: HostContext::capture(1),
+        };
+        let table = report.to_table();
+        let lines: Vec<&str> = table.lines().skip(1).collect();
+        let expected: Vec<String> = derived
+            .iter()
+            .map(|(name, _, shown)| format!("{name}: {shown}"))
+            .collect();
+        assert_eq!(lines, expected, "{table}");
     }
 
     #[test]

@@ -60,7 +60,8 @@ MISC:
     --jobs, -j <n>           worker threads for parallel work: grid cells,
                              MWIS conflict-graph build, per-disk offline
                              evaluation, and island-parallel event replay
-                             (one event loop per replica-sharing island).
+                             (one event loop per worker, over whole
+                             replica-sharing islands).
                              Results are bit-identical for any value.
                              Precedence: this flag > SPINDOWN_JOBS env
                              var > 1
@@ -404,7 +405,27 @@ impl Cli {
                 other => return Err(ParseError::UnknownFlag(other.into())),
             }
         }
+        cli.validate()?;
         Ok(cli)
+    }
+
+    /// Rejects flag values the run would otherwise panic on or silently
+    /// clamp. Runs once, after every flag is read, because the
+    /// replication bound depends on `--disks`.
+    fn validate(&self) -> Result<(), ParseError> {
+        if self.disks == 0 {
+            return Err(ParseError::BadValue("--disks (need at least 1 disk)".into()));
+        }
+        if self.rate <= 0.0 {
+            return Err(ParseError::BadValue("--rate (must be positive)".into()));
+        }
+        if self.replication == 0 || self.replication > self.disks {
+            return Err(ParseError::BadValue(format!(
+                "--replication (must be between 1 and --disks {})",
+                self.disks
+            )));
+        }
+        Ok(())
     }
 
     /// Resolves the worker count with the documented precedence:
@@ -508,6 +529,36 @@ mod tests {
             Cli::parse(&argv("simulate --zipf inf")),
             Err(ParseError::BadValue("--zipf".into()))
         );
+    }
+
+    #[test]
+    fn rejects_values_the_run_cannot_honour() {
+        assert_eq!(
+            Cli::parse(&argv("simulate --disks 0")),
+            Err(ParseError::BadValue("--disks (need at least 1 disk)".into()))
+        );
+        for rate in ["0", "-3"] {
+            assert_eq!(
+                Cli::parse(&argv(&format!("simulate --rate {rate}"))),
+                Err(ParseError::BadValue("--rate (must be positive)".into())),
+                "--rate {rate}"
+            );
+        }
+        for flags in ["--replication 5 --disks 2", "--disks 2 --replication 5"] {
+            assert_eq!(
+                Cli::parse(&argv(&format!("simulate {flags}"))),
+                Err(ParseError::BadValue(
+                    "--replication (must be between 1 and --disks 2)".into()
+                )),
+                "{flags}"
+            );
+        }
+        assert!(matches!(
+            Cli::parse(&argv("simulate --replication 0")),
+            Err(ParseError::BadValue(_))
+        ));
+        let cli = Cli::parse(&argv("simulate --replication 2 --disks 2 --rate 0.5")).unwrap();
+        assert_eq!((cli.disks, cli.replication, cli.rate), (2, 2, 0.5));
     }
 
     #[test]

@@ -42,6 +42,10 @@ pub enum CommandError {
     Io(std::path::PathBuf, std::io::Error),
     /// The trace file could not be parsed.
     Parse(String),
+    /// The trace is not time-sorted (carries the out-of-order record's
+    /// index and both timestamps). Exits 2 like a usage error: replaying
+    /// it would silently clamp the earlier records.
+    Unsorted(StreamError),
     /// The file extension is not recognized.
     UnknownFormat(std::path::PathBuf),
     /// The bench regression gate failed (carries the full gate report).
@@ -53,6 +57,7 @@ impl std::fmt::Display for CommandError {
         match self {
             CommandError::Io(p, e) => write!(f, "cannot read {}: {e}", p.display()),
             CommandError::Parse(e) => write!(f, "cannot parse trace: {e}"),
+            CommandError::Unsorted(e) => write!(f, "unsorted trace: {e}"),
             CommandError::UnknownFormat(p) => write!(
                 f,
                 "unrecognized trace extension on {} (expected .spc/.csv or .srt/.txt)",
@@ -64,6 +69,26 @@ impl std::fmt::Display for CommandError {
 }
 
 impl std::error::Error for CommandError {}
+
+impl From<StreamError> for CommandError {
+    fn from(e: StreamError) -> Self {
+        match e {
+            StreamError::OutOfOrder { .. } => CommandError::Unsorted(e),
+            e => CommandError::Parse(e.to_string()),
+        }
+    }
+}
+
+impl CommandError {
+    /// Process exit code: 2 for an unsorted trace (input the command
+    /// refuses, like a bad flag), 1 for every other failure.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            CommandError::Unsorted(_) => 2,
+            _ => 1,
+        }
+    }
+}
 
 /// Runs the parsed invocation and returns the textual report.
 pub fn execute(cli: &Cli) -> Result<String, CommandError> {
@@ -248,11 +273,12 @@ impl Workload {
 
 /// Drains a full pass into an in-memory [`Trace`] — only for commands
 /// that genuinely need the whole workload at once (offline MWIS plans,
-/// `compare`). Returns the skipped-line count alongside.
+/// `compare`). Returns the skipped-line count alongside. Out-of-order
+/// records are refused ([`CommandError::Unsorted`]), not re-sorted, so
+/// every command reads a trace the same way.
 fn materialize(workload: &Workload) -> Result<(Trace, usize), CommandError> {
     let mut pass = workload.open()?;
-    let trace =
-        collect_trace(&mut pass).map_err(|e: StreamError| CommandError::Parse(e.to_string()))?;
+    let trace = collect_trace(EnsureSorted::new(&mut pass))?;
     Ok((trace, pass.skipped()))
 }
 
@@ -262,10 +288,10 @@ fn simulate_command(cli: &Cli, workload: &Workload) -> Result<String, CommandErr
         Some(_) => {
             // Constant-memory path: pass one folds the stream to its
             // scan summary, pass two feeds the event loop(s) directly —
-            // one per placement island when --jobs allows.
+            // one per worker over its placement islands when --jobs
+            // allows.
             let mut pass1 = workload.open()?;
-            let scan =
-                scan_stream(&mut pass1).map_err(|e| CommandError::Parse(e.to_string()))?;
+            let scan = scan_stream(&mut pass1)?;
             let skipped_scan = pass1.skipped();
             let reads = scan.reads();
             let span_s = scan.span_s();
@@ -496,12 +522,10 @@ fn spec(cli: &Cli, scheduler: SchedulerArg) -> ExperimentSpec {
 }
 
 /// One-pass streaming statistics; the trace is never materialized.
-/// Requires the file to be time-sorted (the batch parsers historically
-/// re-sorted; the streaming path reports out-of-order input instead).
+/// Requires the file to be time-sorted, like every other command.
 fn stats_report(workload: &Workload) -> Result<String, CommandError> {
     let mut pass = workload.open()?;
-    let stats = TraceStats::from_stream(EnsureSorted::new(&mut pass))
-        .map_err(|e| CommandError::Parse(e.to_string()))?;
+    let stats = TraceStats::from_stream(EnsureSorted::new(&mut pass))?;
     let mut s = format!("trace statistics\n================\n{stats}");
     if pass.skipped() > 0 {
         let _ = write!(s, "\nskipped lines       : {}", pass.skipped());

@@ -35,7 +35,7 @@ pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
             }
             Err(e) => {
                 let _ = writeln!(out, "error: {e}");
-                1
+                e.exit_code()
             }
         },
         Err(ParseError::HelpRequested) => {

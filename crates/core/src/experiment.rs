@@ -8,6 +8,7 @@ use spindown_disk::mechanics::Mechanics;
 use spindown_sim::rng::SimRng;
 use spindown_sim::time::{SimDuration, SimTime};
 use spindown_trace::record::{OpKind, Trace, TraceRecord};
+use spindown_trace::StreamError;
 
 use crate::cost::CostFunction;
 use crate::metrics::RunMetrics;
@@ -208,22 +209,37 @@ impl StreamScan {
 }
 
 /// First pass: folds a record stream down to its [`StreamScan`] summary.
-/// Fails with the stream's first error.
-pub fn scan_stream<E>(
+///
+/// The stream must be time-sorted: the first record earlier than the one
+/// before it (reads and writes alike) fails the scan with
+/// [`StreamError::OutOfOrder`], naming its index and both timestamps.
+/// Pass two rebases every read to the first one, so an earlier read
+/// later in the stream would otherwise be clamped to t = 0 without a
+/// word. Otherwise fails with the stream's first error.
+pub fn scan_stream<E: Into<StreamError>>(
     stream: impl Iterator<Item = Result<TraceRecord, E>>,
-) -> Result<StreamScan, E> {
+) -> Result<StreamScan, StreamError> {
     let mut ids: HashSet<u64> = HashSet::new();
     let mut reads = 0usize;
     let mut anchor: Option<SimTime> = None;
     let mut end = SimTime::ZERO;
-    for record in stream {
-        let r = record?;
+    let mut previous = SimTime::ZERO;
+    for (index, record) in stream.enumerate() {
+        let r = record.map_err(Into::into)?;
+        if r.at < previous {
+            return Err(StreamError::OutOfOrder {
+                index,
+                previous,
+                at: r.at,
+            });
+        }
+        previous = r.at;
         if r.op != OpKind::Read {
             continue;
         }
         reads += 1;
         anchor.get_or_insert(r.at);
-        end = end.max(r.at);
+        end = r.at;
         ids.insert(r.data.0);
     }
     let mut ids: Vec<u64> = ids.into_iter().collect();
@@ -542,6 +558,30 @@ mod tests {
         let b = run_experiment(&reqs, &spec);
         assert_eq!(a.energy_j, b.energy_j);
         assert_eq!(a.spinups, b.spinups);
+    }
+
+    #[test]
+    fn scan_rejects_out_of_order_reads_instead_of_clamping() {
+        use spindown_trace::spc::SpcStream;
+        use spindown_trace::ParsePolicy;
+        let scan = |text: &str| scan_stream(SpcStream::new(text.as_bytes(), ParsePolicy::Strict));
+        let err = scan("0,1,512,r,100.0\n0,2,512,r,5.0\n0,3,512,r,50.0\n").unwrap_err();
+        assert_eq!(
+            err,
+            StreamError::OutOfOrder {
+                index: 1,
+                previous: SimTime::from_secs(100),
+                at: SimTime::from_secs(5),
+            }
+        );
+        // A write regressing in time is just as out of order.
+        assert!(matches!(
+            scan("0,1,512,r,10.0\n0,2,512,w,4.0\n"),
+            Err(StreamError::OutOfOrder { index: 1, .. })
+        ));
+        let sorted = scan("0,2,512,r,5.0\n0,3,512,r,50.0\n0,1,512,r,100.0\n").unwrap();
+        assert_eq!(sorted.reads(), 3);
+        assert_eq!(sorted.span_s(), 95.0);
     }
 
     #[test]

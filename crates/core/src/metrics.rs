@@ -63,18 +63,24 @@ pub struct RunMetrics {
     /// Under streamed ingestion this is bounded by in-flight disk work,
     /// not trace length — the metric that proves constant-memory replay.
     ///
-    /// Under island-parallel replay each island has its own queue, so the
-    /// merged value is the **maximum across islands** (the largest single
-    /// queue), not a sum — it remains the per-loop memory bound.
+    /// Under island-parallel replay with more than one worker each
+    /// worker's engine has its own queue, so the merged value is the
+    /// **maximum across engines** (the largest single queue), not a sum —
+    /// it remains the per-loop memory bound. It therefore depends on the
+    /// worker count, and never exceeds the serial engine's value (each
+    /// engine holds a subset of the serial queue). With one worker it is
+    /// the serial engine's peak. A diagnostic; the CLI never prints it.
     pub peak_events: usize,
     /// Peak number of requests buffered by the pipeline at once (batch
     /// buffer plus dispatched-but-uncompleted accounting).
     ///
-    /// Like [`RunMetrics::peak_events`], merged across islands as a
-    /// **per-island maximum**, not a sum.
+    /// Like [`RunMetrics::peak_events`], merged across engines as a
+    /// **per-engine maximum**, not a sum: worker-count dependent at
+    /// `--jobs > 1`, never above the serial value.
     pub peak_in_flight: usize,
-    /// Largest per-island lookahead buffer the stream splitter needed
-    /// while routing arrivals to island event loops (0 for serial runs).
+    /// Largest per-worker lookahead buffer the stream splitter needed
+    /// while routing arrivals to the workers' event loops (0 for serial
+    /// runs).
     /// An operational diagnostic: it depends on thread timing and is
     /// excluded from determinism comparisons.
     pub splitter_high_water: usize,
@@ -168,13 +174,14 @@ impl RunMetrics {
     }
 }
 
-/// Partial metrics of one finished island, ready for exact reassembly by
-/// [`merge_islands`]. Produced by the island engine's finalization at the
-/// *global* horizon, so every float here is already measured over the same
-/// span the serial engine would use.
+/// Partial metrics of one finished engine (one island or a union of
+/// whole islands), ready for exact reassembly by [`merge_islands`].
+/// Produced by the engine's finalization at the *global* horizon, so every
+/// float here is already measured over the same span the serial engine
+/// would use.
 #[derive(Debug, Clone)]
 pub struct IslandPart {
-    /// Global ids of the island's disks, ascending.
+    /// Global ids of the part's disks, ascending.
     pub disk_ids: Vec<DiskId>,
     /// Summaries parallel to `disk_ids`.
     pub per_disk: Vec<DiskSummary>,
@@ -192,30 +199,30 @@ pub struct IslandPart {
     /// (transitions only happen via scheduled events), so this value
     /// stands in for every later global sample.
     pub drained_watts: Vec<f64>,
-    /// Island-local event-queue high-water mark.
+    /// Engine-local event-queue high-water mark.
     pub peak_events: usize,
-    /// Island-local in-flight high-water mark.
+    /// Engine-local in-flight high-water mark.
     pub peak_in_flight: usize,
 }
 
-/// Reassembles per-island partial metrics into the global [`RunMetrics`],
+/// Reassembles per-engine partial metrics into the global [`RunMetrics`],
 /// **exactly** reproducing the serial engine's floats:
 ///
-/// * `per_disk` scatters each island's summaries back to global disk
+/// * `per_disk` scatters each part's summaries back to global disk
 ///   order; `energy_j`/`spinups`/`spindowns` are then re-derived by
 ///   summing in that order — the identical float addition sequence the
 ///   serial engine performs;
 /// * `power_timeline` merges by sample index: sample `k`'s total is the
-///   global-disk-order sum of each disk's watts, taken from its island's
-///   row `k` when the island was still sampling and from its frozen
+///   global-disk-order sum of each disk's watts, taken from its part's
+///   row `k` when the part was still sampling and from its frozen
 ///   drained watts afterwards (sample grids are identical integer-µs
 ///   lattices, so timestamps agree exactly);
 /// * `response` histograms fold exactly (integer counters + float max);
-/// * peaks take per-island maxima.
+/// * peaks take per-part maxima (one part per engine).
 ///
 /// # Panics
 ///
-/// Panics if the islands' disk ids don't cover `0..disks` exactly once.
+/// Panics if the parts' disk ids don't cover `0..disks` exactly once.
 pub fn merge_islands(
     scheduler: String,
     disks: u32,
@@ -402,7 +409,7 @@ mod tests {
         assert_eq!(a.energy_j, 1000.0);
         assert_eq!(a.always_on_j, 2000.0);
         assert_eq!(a.per_disk.len(), 6);
-        // Peaks are per-island maxima, never sums.
+        // Peaks are per-part maxima, never sums.
         assert_eq!(a.peak_events, 7);
         assert_eq!(a.peak_in_flight, 9);
         assert_eq!(a.splitter_high_water, 3);

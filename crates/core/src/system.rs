@@ -16,11 +16,11 @@
 //!
 //! The loop body itself lives in [`IslandEngine`], a push-based engine
 //! whose disks, event queue, in-flight accounting and histogram are all
-//! local to one **island** (a connected component of the replica-sharing
-//! relation, [`crate::placement::IslandPartition`]). The serial entry
-//! points drive a single engine over every disk;
-//! [`run_system_streamed_with_jobs`] runs one engine per island across a
-//! worker pool and merges the per-island metrics exactly
+//! local to a union of whole **islands** (connected components of the
+//! replica-sharing relation, [`crate::placement::IslandPartition`]). The
+//! serial entry points drive a single engine over every disk;
+//! [`run_system_streamed_with_jobs`] runs one engine per worker over its
+//! share of the islands and merges the per-worker metrics exactly
 //! ([`crate::metrics::merge_islands`]) — bit-identical to the serial
 //! oracle, as pinned by `tests/island_determinism.rs`.
 
@@ -412,13 +412,18 @@ fn build_disk(config: &SystemConfig, disk: u32, rng: SimRng) -> Disk {
     )
 }
 
-/// One island's event loop: the extracted body of the historical
-/// `run_system_streamed`, reshaped push-based so a router can feed many
-/// engines from one sorted stream. Disks, event queue, in-flight
-/// accounting, batch buffer and response histogram are all island-local;
-/// the only shared inputs are the (read-only) placement and power model.
+/// The event loop over a union of whole islands: the extracted body of
+/// the historical `run_system_streamed`, reshaped push-based so a router
+/// can feed several engines from one sorted stream. The serial path runs
+/// one engine over every disk; island-parallel replay runs one per worker
+/// over the disks of its islands. Because a union of whole islands is
+/// closed under replica sharing, such an engine is the serial engine
+/// restricted to those disks. Disks, event queue, batch tick chain,
+/// in-flight accounting, batch buffer and response histogram are all
+/// engine-local; the only shared inputs are the (read-only) placement and
+/// power model.
 ///
-/// Call [`IslandEngine::offer`] with the island's arrivals in
+/// Call [`IslandEngine::offer_batch`] with the engine's arrivals in
 /// non-decreasing time order, then [`IslandEngine::into_finished`] to
 /// drain remaining events and extract the partial metrics.
 struct IslandEngine<'a, S: Scheduler> {
@@ -463,9 +468,10 @@ struct IslandEngine<'a, S: Scheduler> {
     peak_in_flight: usize,
 }
 
-/// A drained island, detached from its scheduler and placement borrows so
+/// A drained engine, detached from its scheduler and placement borrows so
 /// it can cross back to the merging thread.
 struct FinishedIsland {
+    name: &'static str,
     disks: Vec<Disk>,
     global_ids: Vec<DiskId>,
     requests_per_disk: Vec<u64>,
@@ -561,7 +567,7 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
     }
 
     /// Schedules the initial batch tick and power sample. Deferred to the
-    /// first arrival so an island that never receives one stays inert —
+    /// first arrival so an engine that never receives one stays inert —
     /// exactly like the historical loop, which gated both on a non-empty
     /// stream.
     fn ensure_started(&mut self) {
@@ -578,9 +584,9 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
         self.peak_events = self.peak_events.max(self.queue.len());
     }
 
-    /// Feeds a block of arrivals (non-decreasing times, the island's own
-    /// data only): one admission (`ensure_started`) per block, the
-    /// per-arrival loop monomorphized inline. Events earlier than an
+    /// Feeds a block of arrivals (non-decreasing times, data of the
+    /// engine's own islands only): one admission (`ensure_started`) per
+    /// block, the per-arrival loop monomorphized inline. Events earlier than an
     /// arrival run first; at equal times the arrival runs first, matching
     /// the pre-scheduled ordering the materialized path historically
     /// used.
@@ -594,7 +600,8 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
         }
     }
 
-    /// [`IslandEngine::offer`] minus the start check.
+    /// [`IslandEngine::offer_batch`] for one arrival, minus the start
+    /// check.
     fn offer_one(&mut self, req: Request) {
         while let Some(t) = self.queue.peek_time() {
             if t >= req.at {
@@ -616,7 +623,7 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
     }
 
     /// Pops and processes one event. `pending` is true while a further
-    /// arrival exists for this island (it gates the batch-tick and
+    /// arrival exists for this engine (it gates the batch-tick and
     /// power-sample chains, as the look-ahead arrival did historically).
     fn step_event(&mut self, pending: bool) {
         let ev = self.queue.pop().expect("step_event requires an event");
@@ -823,6 +830,7 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
         }
         let drained_watts = self.disks.iter().map(Disk::power_w).collect();
         FinishedIsland {
+            name: self.name,
             disks: self.disks,
             global_ids: self.global_ids,
             requests_per_disk: self.requests_per_disk,
@@ -871,17 +879,17 @@ impl FinishedIsland {
     }
 }
 
-/// Computes the global horizon and merges finished islands into the final
+/// Computes the global horizon and merges finished engines into the final
 /// metrics. The horizon is `max(last event, last request + saving
-/// window)` — island maxima reproduce the serial engine's values exactly,
+/// window)` — engine maxima reproduce the serial engine's values exactly,
 /// so runs under different schedulers are normalized over essentially the
 /// same span.
 fn merge_finished(
-    scheduler: String,
     config: &SystemConfig,
     finished: Vec<FinishedIsland>,
     splitter_high_water: usize,
 ) -> RunMetrics {
+    let scheduler = finished[0].name;
     let model = SavingModel::new(&config.power);
     let last_event = finished
         .iter()
@@ -905,7 +913,7 @@ fn merge_finished(
         * horizon_s;
     let parts: Vec<IslandPart> = finished.into_iter().map(|f| f.finalize(horizon)).collect();
     crate::metrics::merge_islands(
-        scheduler,
+        scheduler.into(),
         config.disks,
         horizon_s,
         always_on_j,
@@ -1030,42 +1038,38 @@ fn run_single_engine(
             break;
         }
     }
-    let name = engine.name;
-    Ok(merge_finished(
-        name.into(),
-        config,
-        vec![engine.into_finished()],
-        0,
-    ))
+    Ok(merge_finished(config, vec![engine.into_finished()], 0))
 }
 
-/// Island-parallel replay: one event loop per island of the placement's
-/// replica-sharing graph, fed from `source` through a bounded
-/// [`StreamSplitter`], merged exactly into one [`RunMetrics`].
+/// Island-parallel replay: the placement's replica-sharing islands are
+/// sharded contiguously over at most `min(jobs, islands)` workers, each
+/// worker runs **one** event loop over the union of its islands' disks,
+/// fed from `source` through a bounded [`StreamSplitter`], and the
+/// per-worker metrics merge exactly into one [`RunMetrics`].
 ///
-/// Schedulers are created per island via `factory`, so each island's
-/// scheduler sees exactly the requests a serial scheduler would have seen
-/// for those disks (scheduler state never crosses islands — replica
-/// locality guarantees the serial scheduler's state is island-separable
-/// for every shipped scheduler; `RandomScheduler` hashes per request for
-/// the same reason).
+/// A union of whole islands is closed under replica sharing, so a
+/// worker's engine is the serial engine restricted to those disks: every
+/// request it sees has all its replicas local, and its scheduler (one
+/// `factory()` instance per worker) sees exactly the requests a serial
+/// scheduler would have seen for those disks (scheduler state never
+/// crosses islands — replica locality makes it island-separable for every
+/// shipped scheduler; `RandomScheduler` hashes per request for the same
+/// reason).
 ///
 /// The result is **bit-identical** to [`run_system_streamed`] — same
 /// floats, same histogram buckets, same `power_timeline` — for any
-/// `jobs`, except the operational fields
-/// [`RunMetrics::peak_events`] / [`RunMetrics::peak_in_flight`]
-/// (per-island maxima instead of one global queue's peak) and
-/// [`RunMetrics::splitter_high_water`] (timing-dependent diagnostic).
-/// With a single island it *is* the serial engine, operational fields
-/// included.
-///
-/// `jobs` is the worker cap (`0`/`1` = no threads); islands are sharded
-/// contiguously across at most `min(jobs, islands)` workers.
+/// `jobs`. With one worker (`jobs` ≤ 1, or a placement that is one
+/// island) it *is* the serial engine, operational fields included. With
+/// more workers the operational fields differ:
+/// [`RunMetrics::peak_events`] / [`RunMetrics::peak_in_flight`] are
+/// per-worker-engine maxima, so they depend on the worker count and never
+/// exceed the serial engine's, and [`RunMetrics::splitter_high_water`] is
+/// a timing-dependent diagnostic.
 ///
 /// # Errors
 ///
 /// Exactly as [`run_system_streamed`]: the first upstream or ordering
-/// error aborts the run (in-flight islands are abandoned).
+/// error aborts the run (in-flight workers are abandoned).
 pub fn run_system_streamed_with_jobs(
     source: &mut (dyn RequestSource + Send),
     placement: &(dyn LocationProvider + Sync),
@@ -1078,71 +1082,19 @@ pub fn run_system_streamed_with_jobs(
         config.disks,
         "placement and system disagree on disk count"
     );
-    let partition = IslandPartition::from_provider(placement);
-    if partition.is_single() {
-        // Degenerate fallback: replicas connect everything, so the serial
-        // engine is the only correct execution — and trivially
-        // jobs-invariant.
-        let mut scheduler = factory();
-        return run_system_streamed(source, placement, &mut scheduler, config);
-    }
-    let n_islands = partition.n_islands();
-    let workers = jobs.max(1).min(n_islands);
+    // One worker — by request, or because replicas connect every disk
+    // into one island — is the serial engine itself.
+    let partition = (jobs > 1).then(|| IslandPartition::from_provider(placement));
+    let workers = partition.as_ref().map_or(1, |p| jobs.min(p.n_islands()));
+    let Some(partition) = partition.filter(|_| workers > 1) else {
+        return run_single_engine(source, placement, &mut factory(), config, false);
+    };
     let rngs = disk_rngs(config);
-    let name = factory().name().to_string();
-
-    if workers == 1 {
-        // Multi-island but single-threaded: route inline, no splitter.
-        let mut engines: Vec<IslandEngine<'_, Box<dyn Scheduler>>> = (0..n_islands)
-            .map(|i| {
-                IslandEngine::new(
-                    placement,
-                    config,
-                    factory(),
-                    partition.island_disks(i),
-                    &rngs,
-                    false,
-                )
-            })
-            .collect();
-        let mut block: Vec<Request> = Vec::with_capacity(INGEST_BLOCK);
-        let mut prev: Option<SimTime> = None;
-        // Group each block by island before offering: engines are
-        // independent, so only the per-island arrival order matters, and
-        // feeding each engine its whole share of the block at once keeps
-        // that engine's queue and disk state hot instead of ping-ponging
-        // between islands on every record.
-        let mut by_island: Vec<Vec<Request>> = vec![Vec::with_capacity(INGEST_BLOCK); n_islands];
-        loop {
-            block.clear();
-            let src_err = source.fill_block(&mut block, INGEST_BLOCK);
-            let (valid, order_err) = validate_order(&block, &mut prev);
-            for req in &block[..valid] {
-                by_island[partition.data_island(req.data)].push(*req);
-            }
-            for (engine, share) in engines.iter_mut().zip(by_island.iter_mut()) {
-                engine.offer_batch(share);
-                share.clear();
-            }
-            if let Some(e) = order_err {
-                return Err(e);
-            }
-            if let Some(e) = src_err {
-                return Err(e);
-            }
-            if valid < INGEST_BLOCK {
-                break;
-            }
-        }
-        let finished: Vec<FinishedIsland> =
-            engines.into_iter().map(IslandEngine::into_finished).collect();
-        return Ok(merge_finished(name, config, finished, 0));
-    }
 
     // Contiguous island ranges per worker; the splitter routes arrivals
     // to the owning worker's substream.
-    let group_ranges = spindown_sim::pool::shard_ranges(n_islands, workers);
-    let mut group_of_island = vec![0usize; n_islands];
+    let group_ranges = spindown_sim::pool::shard_ranges(partition.n_islands(), workers);
+    let mut group_of_island = vec![0usize; partition.n_islands()];
     for (g, range) in group_ranges.iter().enumerate() {
         for i in range.clone() {
             group_of_island[i] = g;
@@ -1202,66 +1154,38 @@ pub fn run_system_streamed_with_jobs(
                 let rngs = &rngs;
                 let first_error = &first_error;
                 scope.spawn(move || {
-                    let mut engines: Vec<IslandEngine<'_, Box<dyn Scheduler>>> = range
-                        .clone()
-                        .map(|i| {
-                            IslandEngine::new(
-                                placement,
-                                config,
-                                factory(),
-                                partition.island_disks(i),
-                                rngs,
-                                false,
-                            )
-                        })
+                    let mut disks: Vec<DiskId> = range
+                        .flat_map(|i| partition.island_disks(i).iter().copied())
                         .collect();
+                    disks.sort_unstable();
+                    let mut engine =
+                        IslandEngine::new(placement, config, factory(), &disks, rngs, false);
                     let mut block: Vec<Request> = Vec::new();
                     loop {
                         match splitter.pull_block(g, &mut block) {
-                            None => break,
+                            None => return Some(engine.into_finished()),
                             Some(Err(e)) => {
                                 // Mirror the serial abort: abandon partial
                                 // work, surface the (latched) error.
                                 first_error.lock().expect("error lock").get_or_insert(e);
-                                return Vec::new();
+                                return None;
                             }
-                            Some(Ok(())) => {
-                                // Hand contiguous same-island runs to the
-                                // engine in one `offer_batch` call; with
-                                // one island per group that is the whole
-                                // block.
-                                let mut i = 0;
-                                while i < block.len() {
-                                    let island = partition.data_island(block[i].data);
-                                    let mut j = i + 1;
-                                    while j < block.len()
-                                        && partition.data_island(block[j].data) == island
-                                    {
-                                        j += 1;
-                                    }
-                                    engines[island - range.start].offer_batch(&block[i..j]);
-                                    i = j;
-                                }
-                            }
+                            Some(Ok(())) => engine.offer_batch(&block),
                         }
                     }
-                    engines
-                        .into_iter()
-                        .map(IslandEngine::into_finished)
-                        .collect::<Vec<_>>()
                 })
             })
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("island worker panicked"))
+            .filter_map(|h| h.join().expect("island worker panicked"))
             .collect()
     });
     if let Some(e) = first_error.into_inner().expect("error lock") {
         return Err(e);
     }
     let high_water = splitter.high_water();
-    Ok(merge_finished(name, config, finished, high_water))
+    Ok(merge_finished(config, finished, high_water))
 }
 
 /// [`run_system_streamed_with_jobs`] over an in-memory sorted slice — the

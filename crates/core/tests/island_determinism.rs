@@ -1,19 +1,21 @@
 //! Differential suite for island-parallel event replay.
 //!
 //! [`run_system_with_jobs`] shards the event loop by replica-sharing
-//! islands and merges per-island metrics; its contract is that `--jobs`
-//! changes wall-clock, never bytes. This suite pins that contract the
-//! same way the MWIS/offline suites do: the serial engine
-//! ([`run_system`]) is the oracle, and every parallel run is compared
-//! with exact `RunMetrics` equality — energies, spin counts, per-disk
-//! summaries, the response histogram bucket by bucket, and the power
-//! timeline — after zeroing the documented operational exceptions
-//! (`peak_events` / `peak_in_flight` are per-island maxima under
-//! sharding, `splitter_high_water` is timing-dependent). Parallel runs
-//! must additionally agree with each other *including* those fields for
-//! equal worker counts, and the degenerate placements (everything one
-//! island; every disk its own island) exercise the fallback and the
-//! maximal-sharding extremes.
+//! islands (one engine per worker over the union of its islands) and
+//! merges per-worker metrics; its contract is that `--jobs` changes
+//! wall-clock, never bytes. This suite pins that contract the same way
+//! the MWIS/offline suites do: the serial engine ([`run_system`]) is the
+//! oracle, and every parallel run is compared with exact `RunMetrics`
+//! equality — energies, spin counts, per-disk summaries, the response
+//! histogram bucket by bucket, and the power timeline — after zeroing the
+//! documented operational exceptions (`peak_events` / `peak_in_flight`
+//! are per-engine maxima that depend on the worker count,
+//! `splitter_high_water` is timing-dependent). The peaks get their own
+//! checks: at one worker the run *is* the serial engine, so it must equal
+//! the oracle peaks included; at more workers each engine sees a subset
+//! of the serial engine's work, so neither peak may exceed the oracle's.
+//! The degenerate placements (everything one island; every disk its own
+//! island) exercise the fallback and the maximal-sharding extremes.
 
 use spindown_core::cost::CostFunction;
 use spindown_core::experiment::{build_scheduler, data_space, requests_from_trace, SchedulerKind};
@@ -137,26 +139,44 @@ fn assert_matrix(
         let mut first_parallel: Option<RunMetrics> = None;
         for jobs in JOBS {
             let par = run_system_with_jobs(requests, placement, &factory, config, jobs);
+            let label = format!("{name} {} jobs {jobs}", kind.label());
             assert_eq!(
                 normalized(&par),
                 normalized(&serial),
-                "{name} {} jobs {jobs}: parallel differs from serial oracle",
-                kind.label()
+                "{label}: parallel differs from serial oracle"
             );
-            // Jobs variants must agree with each other on everything
-            // except the timing-dependent splitter diagnostic.
-            let mut stable = par;
-            stable.splitter_high_water = 0;
+            assert_peaks(&par, &serial, jobs, &label);
             match &first_parallel {
-                None => first_parallel = Some(stable),
-                Some(first) => assert_eq!(
-                    &stable,
-                    first,
-                    "{name} {} jobs {jobs}: jobs variants disagree",
-                    kind.label()
-                ),
+                None => first_parallel = Some(normalized(&par)),
+                Some(first) => {
+                    assert_eq!(&normalized(&par), first, "{label}: jobs variants disagree")
+                }
             }
         }
+    }
+}
+
+/// The peak-field contract: one worker is the serial engine itself, so
+/// `--jobs 1` equals the oracle including both peaks; more workers split
+/// the serial engine's work, so neither per-engine peak may exceed it.
+fn assert_peaks(par: &RunMetrics, serial: &RunMetrics, jobs: usize, label: &str) {
+    if jobs == 1 {
+        let mut par = par.clone();
+        par.splitter_high_water = 0;
+        assert_eq!(&par, serial, "{label}: one worker is the serial engine");
+    } else {
+        assert!(
+            par.peak_events <= serial.peak_events,
+            "{label}: peak_events {} above the serial {}",
+            par.peak_events,
+            serial.peak_events
+        );
+        assert!(
+            par.peak_in_flight <= serial.peak_in_flight,
+            "{label}: peak_in_flight {} above the serial {}",
+            par.peak_in_flight,
+            serial.peak_in_flight
+        );
     }
 }
 
@@ -309,6 +329,7 @@ fn empty_stream_is_jobs_invariant() {
     for jobs in JOBS {
         let par = run_system_with_jobs(&[], &placement, &factory, &cfg, jobs);
         assert_eq!(normalized(&par), normalized(&serial), "jobs {jobs}");
+        assert_peaks(&par, &serial, jobs, "empty");
     }
 }
 
@@ -380,5 +401,6 @@ fn always_on_policy_is_jobs_invariant() {
     for jobs in JOBS {
         let par = run_system_with_jobs(&requests, &placement, &factory, &cfg, jobs);
         assert_eq!(normalized(&par), normalized(&serial), "jobs {jobs}");
+        assert_peaks(&par, &serial, jobs, "always-on");
     }
 }

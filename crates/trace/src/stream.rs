@@ -54,6 +54,10 @@ pub enum StreamError {
     OutOfOrder {
         /// 0-based index of the offending record.
         index: usize,
+        /// Timestamp of the record before it.
+        previous: SimTime,
+        /// Timestamp of the offending record (earlier than `previous`).
+        at: SimTime,
     },
 }
 
@@ -64,9 +68,15 @@ impl std::fmt::Display for StreamError {
             StreamError::Malformed { line, message } => {
                 write!(f, "line {line}: {message}")
             }
-            StreamError::OutOfOrder { index } => {
-                write!(f, "record {index} is out of time order (stream must be time-sorted)")
-            }
+            StreamError::OutOfOrder {
+                index,
+                previous,
+                at,
+            } => write!(
+                f,
+                "record {index} at {at} s is earlier than the record before it at \
+                 {previous} s (stream must be time-sorted)"
+            ),
         }
     }
 }
@@ -257,9 +267,13 @@ impl<S: RecordStream> Iterator for EnsureSorted<S> {
                 Some(Err(e))
             }
             Some(Ok(r)) => {
-                if self.prev.map(|p| r.at < p).unwrap_or(false) {
+                if let Some(previous) = self.prev.filter(|&p| r.at < p) {
                     self.done = true;
-                    return Some(Err(StreamError::OutOfOrder { index: self.index }));
+                    return Some(Err(StreamError::OutOfOrder {
+                        index: self.index,
+                        previous,
+                        at: r.at,
+                    }));
                 }
                 self.prev = Some(r.at);
                 self.index += 1;
@@ -569,7 +583,23 @@ mod tests {
         assert!(s.next().unwrap().is_ok());
         assert_eq!(
             s.next().unwrap().unwrap_err(),
-            StreamError::OutOfOrder { index: 1 }
+            StreamError::OutOfOrder {
+                index: 1,
+                previous: SimTime::from_secs_f64(1.0),
+                at: SimTime::from_secs_f64(0.5),
+            }
+        );
+        let message = StreamError::OutOfOrder {
+            index: 1,
+            previous: SimTime::from_secs_f64(100.0),
+            at: SimTime::from_secs_f64(5.0),
+        }
+        .to_string();
+        assert!(
+            message.starts_with(
+                "record 1 at 5.000000 s is earlier than the record before it at 100.000000 s"
+            ),
+            "{message}"
         );
         assert!(s.next().is_none(), "stream fuses after the error");
     }
